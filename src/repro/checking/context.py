@@ -27,8 +27,8 @@ Caching layers (see ``docs/performance.md``):
   always; the trajectory and generator memo whenever the model has no
   explicit time dependence, by the semigroup property of the flow);
 - on the sparse backend (``options.matrix_backend``, resolved by
-  :attr:`matrix_backend`), :meth:`sparse_generator_function` memoizes
-  CSR assemblies of ``Q(m̄(t))`` and :meth:`action_engine` keeps one
+  :attr:`matrix_backend`), :meth:`sparse_generator_function` assembles
+  ``Q(m̄(t))`` straight into CSR and :meth:`action_engine` keeps one
   :class:`~repro.ctmc.propagators.SparseActionPropagator` per
   transformed chain; :meth:`transient_apply` then answers
   vector-propagation queries through Krylov actions without ever
@@ -272,7 +272,6 @@ class EvaluationContext:
         ] = None
         self._generator_cache: dict = {}
         self._sparse_generator_fn = None
-        self._sparse_generator_cache: dict = {}
         self._transient_cache: dict = {}
         # Propagator engines keyed by transform signature, shared (with
         # a time offset) along at_time chains that share the trajectory.
@@ -454,36 +453,26 @@ class EvaluationContext:
         return self._generator_batch_fn
 
     def sparse_generator_function(self):
-        """``t -> Q(m̄(t))`` as CSR with one shared structure, memoized.
+        """``t -> Q(m̄(t))`` as CSR with one shared structure.
 
         Sparse counterpart of :meth:`generator_function`: rates are
         evaluated through the compiled transition table and scattered
         into the fixed structural-nonzero pattern
         (:meth:`repro.meanfield.compiled.CompiledGenerator.sparse`), so
-        each assembly costs O(T + nnz) instead of O(K²).  Cached per
-        time point under the same bound as the dense memo.  Treat
-        returned matrices as read-only.
+        each assembly costs O(T + nnz) instead of O(K²).  Unlike the
+        dense path it is not memoized per time point: one assembly takes
+        under 0.1 ms at K = 1001, while a per-time memo held most of a
+        deep context's memory.  Treat returned matrices as read-only.
         """
         if self._sparse_generator_fn is None:
             compiled = self.model.local.compiled_generator()
             trajectory = self.trajectory
-            cache = self._sparse_generator_cache
             stats = self.stats
 
             def q_sparse(t: float):
-                key = round(float(t), _KEY_DECIMALS)
-                q = cache.get(key)
-                if q is not None:
-                    stats.generator_cache_hits += 1
-                    return q
-                stats.generator_cache_misses += 1
                 stats.generator_evals += 1
                 t = float(t)
-                q = compiled.sparse(trajectory(t), t)
-                if len(cache) >= GENERATOR_CACHE_LIMIT:
-                    cache.clear()
-                cache[key] = q
-                return q
+                return compiled.sparse(trajectory(t), t)
 
             self._sparse_generator_fn = q_sparse
         return self._sparse_generator_fn
@@ -1192,7 +1181,7 @@ class EvaluationContext:
         if self._local_checker is None:
             from repro.checking.local import LocalChecker
 
-            self._local_checker = LocalChecker(self)
+            self._local_checker = LocalChecker.owned_by(self)
         return self._local_checker
 
     def clear_caches(self) -> None:
@@ -1207,7 +1196,6 @@ class EvaluationContext:
         themselves stay registered, so existing handles keep working and
         simply rebuild their grids on the next query."""
         self._generator_cache.clear()
-        self._sparse_generator_cache.clear()
         self._transient_cache.clear()
         for engine in self._propagator_engines.values():
             engine.clear_caches()
@@ -1238,8 +1226,8 @@ class EvaluationContext:
     def cache_nbytes(self) -> int:
         """Estimated bytes held by this context's solve caches.
 
-        Sums the dense/sparse generator memos, the transient-matrix
-        cache and every shared engine's cell caches.  Used by the
+        Sums the dense generator memo, the transient-matrix cache and
+        every shared engine's cell caches.  Used by the
         serving layer's global memory guard
         (:mod:`repro.server.service`); an estimate, not an accounting —
         trajectory segments and small bookkeeping are not counted.
@@ -1247,8 +1235,6 @@ class EvaluationContext:
         total = 0
         for q in self._generator_cache.values():
             total += int(q.nbytes)
-        for q in self._sparse_generator_cache.values():
-            total += int(q.data.nbytes + q.indices.nbytes + q.indptr.nbytes)
         for pi in self._transient_cache.values():
             total += int(pi.nbytes)
         for engine in self._propagator_engines.values():

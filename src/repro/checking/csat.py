@@ -50,6 +50,10 @@ from repro.logic.ast import (
 )
 
 
+def _offset(t: float, g: Callable[[float], float], threshold: float) -> float:
+    return g(t) - threshold
+
+
 def threshold_intervals(
     g: Callable[[float], float],
     t_start: float,
@@ -106,16 +110,13 @@ def threshold_intervals(
     )
     breakpoints: List[float] = list(cuts)
 
-    def offset(t: float) -> float:
-        return g(t) - bound.threshold
-
     for a, b in zip(cuts, cuts[1:]):
         eps = min(1e-9, (b - a) * 1e-6)
         ts = np.linspace(a + eps, b - eps, max(int(grid_points), 3))
         if g_many is not None:
             vals = np.asarray(g_many(ts), dtype=float) - bound.threshold
         else:
-            vals = np.array([offset(t) for t in ts])
+            vals = np.array([_offset(t, g, bound.threshold) for t in ts])
         for i in range(len(ts) - 1):
             # A grid point sitting exactly on the threshold is itself a
             # breakpoint — including at ``vals[i + 1]``, so a tangential
@@ -125,8 +126,18 @@ def threshold_intervals(
             if vals[i] == 0.0:
                 breakpoints.append(float(ts[i]))
             elif vals[i + 1] != 0.0 and vals[i] * vals[i + 1] < 0.0:
+                # ``g`` rides in ``args``, not in a closure: see
+                # repro.checking.reachability._offset_value.
                 breakpoints.append(
-                    float(brentq(offset, ts[i], ts[i + 1], xtol=xtol))
+                    float(
+                        brentq(
+                            _offset,
+                            ts[i],
+                            ts[i + 1],
+                            args=(g, bound.threshold),
+                            xtol=xtol,
+                        )
+                    )
                 )
         if len(ts) and vals[-1] == 0.0:
             # The final grid point of the segment is never a ``vals[i]``

@@ -26,6 +26,7 @@ checked once.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, FrozenSet, Optional, Tuple
 
 import numpy as np
@@ -60,10 +61,32 @@ class LocalChecker:
     """CSL model checker for the local model of one evaluation context."""
 
     def __init__(self, ctx: EvaluationContext):
-        self.ctx = ctx
+        self._ctx = ctx
+        self._ctx_ref = None
         self._sat_cache: Dict[Tuple[CslFormula, float], PiecewiseSatSet] = {}
         self._curve_cache: Dict[Tuple[PathFormula, float], ProbabilityCurve] = {}
         self._steady_checker: Optional["LocalChecker"] = None
+
+    @classmethod
+    def owned_by(cls, ctx: EvaluationContext) -> "LocalChecker":
+        """A checker that ``ctx`` itself keeps (see
+        :meth:`EvaluationContext.local_checker`).
+
+        It refers back to its context weakly, so the pair forms no
+        reference cycle: a context dropped from a cache is freed at
+        once by reference counting, not at the next full collection.
+        """
+        checker = cls(ctx)
+        checker._ctx = None
+        checker._ctx_ref = weakref.ref(ctx)
+        return checker
+
+    @property
+    def ctx(self) -> EvaluationContext:
+        """The evaluation context this checker answers for."""
+        if self._ctx is not None:
+            return self._ctx
+        return self._ctx_ref()
 
     # ------------------------------------------------------------------
     # State formulas

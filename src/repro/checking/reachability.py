@@ -39,6 +39,19 @@ def _require_bounded(interval: TimeInterval) -> None:
         )
 
 
+def _offset_value(
+    t: float, curve: "ProbabilityCurve", state: int, threshold: float
+) -> float:
+    """``curve.value(t, state) − threshold`` for Brent refinement.
+
+    Module-level, with the curve passed through ``brentq``'s ``args``:
+    scipy wraps the callable in a closure that refers to itself, and a
+    closure over the curve would keep the curve — and its evaluation
+    context — alive until the next full garbage collection.
+    """
+    return curve.value(t, state) - threshold
+
+
 class ProbabilityCurve:
     """A per-state probability as a function of evaluation time.
 
@@ -189,10 +202,6 @@ class ProbabilityCurve:
         reported as crossing times when the sign differs across them.
         """
         crossings: List[float] = []
-
-        def f(t: float) -> float:
-            return self.value(t, state) - threshold
-
         for a, b in self._segments():
             if self._budget is not None:
                 self._budget.checkpoint(
@@ -212,14 +221,26 @@ class ProbabilityCurve:
                     crossings.append(float(ts[i]))
                 elif va * vb < 0.0:
                     crossings.append(
-                        float(brentq(f, ts[i], ts[i + 1], xtol=xtol))
+                        float(
+                            brentq(
+                                _offset_value,
+                                ts[i],
+                                ts[i + 1],
+                                args=(self, state, threshold),
+                                xtol=xtol,
+                            )
+                        )
                     )
             if vals[-1] == 0.0:
                 crossings.append(float(ts[-1]))
         # Jumps at discontinuities where the predicate flips.
         for d in self.discontinuities:
-            before = f(max(self.t_start, d - 1e-9))
-            after = f(min(self.t_end, d + 1e-9))
+            before = _offset_value(
+                max(self.t_start, d - 1e-9), self, state, threshold
+            )
+            after = _offset_value(
+                min(self.t_end, d + 1e-9), self, state, threshold
+            )
             if (before > 0) != (after > 0):
                 crossings.append(float(d))
         return sorted(set(crossings))

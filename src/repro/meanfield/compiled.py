@@ -10,9 +10,13 @@ tree, on *each* right-hand-side evaluation.  A
 - **expression** rates are compiled to one numpy closure each
   (:meth:`~repro.meanfield.expressions.Expression.compile`);
 - arbitrary Python callables are kept as-is (they are already a single
-  call).
+  call);
+- dynamic rates are grouped by **source**: transitions sharing one
+  callable, and members of a declared rate family (see
+  :mod:`repro.meanfield.rates`), cost one evaluation per assembly
+  between them.
 
-Per evaluation the assembler copies the base matrix, fills in the few
+Per evaluation the assembler copies the base matrix, fills in the
 dynamic entries, and closes the diagonal — no per-transition dispatch
 for the constant part and no tree walks at all.  :meth:`batch`
 evaluates the generator over a whole batch of occupancy vectors at
@@ -40,7 +44,7 @@ import scipy.sparse
 
 from repro.exceptions import InvalidRateError, ModelError
 from repro.meanfield.expressions import Expression
-from repro.meanfield.rates import evaluate_rate
+from repro.meanfield.rates import evaluate_rate, normalize_rate
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.meanfield.local_model import LocalModel
@@ -51,11 +55,83 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: small-model trajectories stay bitwise identical to earlier releases.
 DRIFT_ACTION_MIN_K = 256
 
-#: Per-transition rate kinds (see ``_per_transition`` / ``transition_rates``).
-#: ``_VECTOR`` covers compiled expressions *and* callables that declare
-#: ``vectorized = True`` (see :mod:`repro.meanfield.rates`): both map a
-#: ``(B, K)`` occupancy batch to a ``(B,)`` value array in one call.
-_CONST, _VECTOR, _CALLABLE = 0, 1, 2
+
+def _check_rates(values: np.ndarray, where: str) -> None:
+    """Raise :class:`InvalidRateError` on a non-finite or negative rate."""
+    bad = ~np.isfinite(values) | (values < -1e-9)
+    if bad.any():
+        raise InvalidRateError(f"rate evaluated to {values[bad][0]} {where}")
+
+
+class _RateSource:
+    """One distinct rate evaluation and the transitions that read it.
+
+    ``fn`` is evaluated once per assembly.  Without ``picks`` it yields
+    one value shared by every transition of the source (an expression,
+    or one callable passed for several transitions); with
+    ``picks`` it is a rate family (see :mod:`repro.meanfield.rates`)
+    whose column ``picks[i]`` is the rate of the source's ``i``-th
+    transition.
+    """
+
+    __slots__ = (
+        "fn", "vectorized", "cols", "sources", "targets", "picks", "single"
+    )
+
+    def __init__(self, fn, vectorized: bool, family: bool):
+        self.fn = fn
+        self.vectorized = vectorized
+        self.cols: list = []
+        self.sources: list = []
+        self.targets: list = []
+        self.picks = [] if family else None
+        self.single = None
+
+    def freeze(self) -> None:
+        self.cols = np.asarray(self.cols, dtype=np.intp)
+        self.sources = np.asarray(self.sources, dtype=np.intp)
+        self.targets = np.asarray(self.targets, dtype=np.intp)
+        if self.picks is not None:
+            self.picks = np.asarray(self.picks, dtype=np.intp)
+        elif self.cols.size == 1:
+            #: ``(source, target)`` of a lone scalar-valued transition:
+            #: the dense fast path writes it without fancy indexing.
+            self.single = (int(self.sources[0]), int(self.targets[0]))
+
+    def values(self, m: np.ndarray, t: float) -> np.ndarray:
+        """The ``(n,)`` rates of this source's transitions at one point."""
+        if self.picks is None:
+            return np.full(self.cols.size, float(self.fn(m, t)))
+        return np.asarray(self.fn(m, t), dtype=float)[self.picks]
+
+    def batch_values(self, occupancies: np.ndarray, t_arr: np.ndarray):
+        """Rates over a ``(B, K)`` batch: ``(B, n)``, or ``(B, 1)`` for a
+        shared value (it broadcasts on assignment)."""
+        b = occupancies.shape[0]
+        if self.vectorized:
+            raw = np.asarray(self.fn(occupancies, t_arr), dtype=float)
+        else:
+            raw = np.array(
+                [float(self.fn(occupancies[i], t_arr[i])) for i in range(b)]
+            )
+        if self.picks is None:
+            return np.broadcast_to(raw, (b,))[:, None]
+        return np.broadcast_to(raw, (b, raw.shape[-1]))[:, self.picks]
+
+
+def _new_source(rate, family, k: int) -> _RateSource:
+    """The :class:`_RateSource` for the first transition reading it."""
+    if isinstance(rate, Expression):
+        compiled = rate.compile()
+        if compiled.max_index >= k:
+            raise ModelError(
+                f"occupancy index {compiled.max_index} out of range "
+                f"for K={k} in rate {rate!r}"
+            )
+        return _RateSource(compiled, True, False)
+    if family is not None:
+        return _RateSource(normalize_rate(family), True, True)
+    return _RateSource(rate, bool(getattr(rate, "vectorized", False)), False)
 
 
 class CompiledGenerator:
@@ -72,61 +148,71 @@ class CompiledGenerator:
     Every call returns a *fresh* array (the base matrix is copied), so
     results from successive calls never alias — callers like the
     window-shift propagator hold two generators at once.
+
+    Each assembly evaluates every distinct rate *source* once, not every
+    transition: constants are folded at construction, transitions that
+    share one callable share its value, and members of a declared rate
+    family (:mod:`repro.meanfield.rates`) read their columns from one
+    family call.  At deep local chains this turns the ``K`` Python rate
+    calls per assembly into a handful of numpy operations.
     """
 
     def __init__(self, model: "LocalModel"):
         k = model.num_states
         dummy = np.full(k, 1.0 / k)
-        dynamic = []
-        per_transition = []
+        const_cols, const_values = [], []
+        sources: dict = {}
         num_compiled = 0
-        for tr in model.transitions:
+        for j, tr in enumerate(model.transitions):
             if tr.constant:
-                value = evaluate_rate(tr.rate, dummy, 0.0)
-                per_transition.append((tr.source, tr.target, _CONST, value))
-            elif isinstance(tr.rate, Expression):
-                compiled = tr.rate.compile()
-                if compiled.max_index >= k:
-                    raise ModelError(
-                        f"occupancy index {compiled.max_index} out of range "
-                        f"for K={k} in rate {tr.rate!r}"
-                    )
-                dynamic.append((tr.source, tr.target, compiled, True))
-                per_transition.append((tr.source, tr.target, _VECTOR, compiled))
+                const_cols.append(j)
+                const_values.append(evaluate_rate(tr.rate, dummy, 0.0))
+                continue
+            rate = tr.rate
+            family = getattr(rate, "family", None)
+            if isinstance(rate, Expression):
                 num_compiled += 1
+                key = id(rate)
+            elif family is not None:
+                key = id(family)
             else:
-                vectorized = bool(getattr(tr.rate, "vectorized", False))
-                dynamic.append((tr.source, tr.target, tr.rate, vectorized))
-                per_transition.append(
-                    (
-                        tr.source,
-                        tr.target,
-                        _VECTOR if vectorized else _CALLABLE,
-                        tr.rate,
-                    )
-                )
+                key = id(getattr(rate, "rate_source", rate))
+            source = sources.get(key)
+            if source is None:
+                source = sources[key] = _new_source(rate, family, k)
+            source.cols.append(j)
+            source.sources.append(tr.source)
+            source.targets.append(tr.target)
+            if source.picks is not None:
+                source.picks.append(int(rate.family_column))
+        for source in sources.values():
+            source.freeze()
         #: Dense constant base, built lazily on first dense assembly so
         #: sparse-only workloads never pay the K² allocation.
         self._base: Optional[np.ndarray] = None
         #: CSR structure cache: ``(indptr, indices, tr_pos, diag_pos)``.
         self._structure = None
-        self._dynamic: Tuple = tuple(dynamic)
-        self._per_transition: Tuple = tuple(per_transition)
+        self._const_cols = np.asarray(const_cols, dtype=np.intp)
+        self._const_values = np.asarray(const_values, dtype=float)
+        self._sources: Tuple[_RateSource, ...] = tuple(sources.values())
         #: Source state of every transition, in model order (``(T,)``).
         self.transition_sources = np.array(
-            [p[0] for p in per_transition], dtype=np.intp
+            [tr.source for tr in model.transitions], dtype=np.intp
         )
         #: Target state of every transition, in model order (``(T,)``).
         self.transition_targets = np.array(
-            [p[1] for p in per_transition], dtype=np.intp
+            [tr.target for tr in model.transitions], dtype=np.intp
         )
         self._k = k
         #: Transitions whose rate is re-evaluated per call.
-        self.num_dynamic = len(dynamic)
+        self.num_dynamic = len(model.transitions) - len(const_cols)
         #: Of those, how many run through a compiled expression closure.
         self.num_compiled = num_compiled
         #: Transitions folded into the constant base matrix.
-        self.num_constant = len(model.transitions) - len(dynamic)
+        self.num_constant = len(const_cols)
+        #: Distinct rate evaluations per assembly (shared callables and
+        #: rate families count once).
+        self.num_sources = len(self._sources)
 
     @property
     def num_states(self) -> int:
@@ -137,9 +223,12 @@ class CompiledGenerator:
         """The dense constant base (built lazily, cached)."""
         if self._base is None:
             base = np.zeros((self._k, self._k))
-            for src, dst, kind, payload in self._per_transition:
-                if kind == _CONST:
-                    base[src, dst] += payload
+            cols = self._const_cols
+            np.add.at(
+                base,
+                (self.transition_sources[cols], self.transition_targets[cols]),
+                self._const_values,
+            )
             self._base = base
         return self._base
 
@@ -156,14 +245,19 @@ class CompiledGenerator:
         """
         m = np.asarray(m, dtype=float)
         q = self._base_matrix().copy()
-        for src, dst, fn, _ in self._dynamic:
-            value = float(fn(m, t))
-            if not np.isfinite(value) or value < -1e-9:
-                raise InvalidRateError(
-                    f"rate evaluated to {value} at m={m!r}, t={t}"
-                )
-            if value > 0.0:
-                q[src, dst] += value
+        for source in self._sources:
+            if source.single is not None:
+                value = float(source.fn(m, t))
+                if not np.isfinite(value) or value < -1e-9:
+                    raise InvalidRateError(
+                        f"rate evaluated to {value} at m={m!r}, t={t}"
+                    )
+                if value > 0.0:
+                    q[source.single] += value
+                continue
+            values = source.values(m, t)
+            _check_rates(values, f"at m={m!r}, t={t}")
+            q[source.sources, source.targets] += np.clip(values, 0.0, None)
         np.fill_diagonal(q, -q.sum(axis=1))
         return q
 
@@ -194,20 +288,10 @@ class CompiledGenerator:
         q = np.empty((b, k, k))
         q[:] = self._base_matrix()
         t_arr = np.broadcast_to(np.asarray(t, dtype=float), (b,))
-        for src, dst, fn, vectorized in self._dynamic:
-            if vectorized:
-                values = np.asarray(fn(occupancies, t_arr), dtype=float)
-                values = np.broadcast_to(values, (b,))
-            else:
-                values = np.array(
-                    [float(fn(occupancies[i], t_arr[i])) for i in range(b)]
-                )
-            if not np.all(np.isfinite(values)) or np.any(values < -1e-9):
-                bad = values[~np.isfinite(values) | (values < -1e-9)][0]
-                raise InvalidRateError(
-                    f"rate evaluated to {bad} in batch of {b} occupancies"
-                )
-            q[:, src, dst] += np.clip(values, 0.0, None)
+        for source in self._sources:
+            values = source.batch_values(occupancies, t_arr)
+            _check_rates(values, f"in batch of {b} occupancies")
+            q[:, source.sources, source.targets] += np.clip(values, 0.0, None)
         diag = np.arange(k)
         q[:, diag, diag] = 0.0
         q[:, diag, diag] = -q.sum(axis=2)
@@ -222,6 +306,11 @@ class CompiledGenerator:
         transition ``j`` is ``counts[b, sources[j]] * rates[b, j]``, with
         ``sources``/``targets`` given by :attr:`transition_sources` /
         :attr:`transition_targets`.
+
+        Constant rates fill their columns in one assignment and each
+        distinct rate source is called once (see the class notes), so a
+        call costs a few numpy operations of length ``T`` plus one call
+        per source.
 
         Parameters
         ----------
@@ -250,24 +339,11 @@ class CompiledGenerator:
         t_arr = np.asarray(t, dtype=float)
         if t_arr.shape != (b,):
             t_arr = np.broadcast_to(t_arr, (b,))
-        out = np.empty((b, len(self._per_transition)))
-        for j, (_src, _dst, kind, payload) in enumerate(self._per_transition):
-            if kind == _CONST:
-                out[:, j] = payload
-            elif kind == _VECTOR:
-                # Fills the column directly; numpy broadcasts scalar
-                # results (rates that ignore the batch) on assignment.
-                out[:, j] = np.asarray(payload(occupancies, t_arr), dtype=float)
-            else:
-                column = out[:, j]
-                for i in range(b):
-                    column[i] = payload(occupancies[i], t_arr[i])
-        if not np.all(np.isfinite(out)) or np.any(out < -1e-9):
-            bad = out[~np.isfinite(out) | (out < -1e-9)][0]
-            raise InvalidRateError(
-                f"rate evaluated to {bad} in transition batch of "
-                f"{b} occupancies"
-            )
+        out = np.empty((b, self.transition_sources.size))
+        out[:, self._const_cols] = self._const_values
+        for source in self._sources:
+            out[:, source.cols] = source.batch_values(occupancies, t_arr)
+        _check_rates(out, f"in transition batch of {b} occupancies")
         return np.clip(out, 0.0, None, out=out)
 
     # ------------------------------------------------------------------
@@ -333,15 +409,20 @@ class CompiledGenerator:
         """
         _indptr, indices, tr_pos, diag_pos = self._sparse_structure()
         b = rates.shape[0]
-        data = np.zeros((b, indices.size))
-        rows = np.arange(b)[:, None]
-        np.add.at(data, (rows, np.broadcast_to(tr_pos, rates.shape)), rates)
-        exit_rates = np.zeros((b, self._k))
-        np.add.at(
-            exit_rates,
-            (rows, np.broadcast_to(self.transition_sources, rates.shape)),
-            rates,
-        )
+        nnz = indices.size
+        # ``bincount`` over row-offset positions is a one-call scatter-add
+        # of the whole batch, in the same order as ``np.add.at``.
+        offsets = np.arange(b)[:, None]
+        data = np.bincount(
+            (offsets * nnz + tr_pos).ravel(),
+            weights=rates.ravel(),
+            minlength=b * nnz,
+        ).reshape(b, nnz)
+        exit_rates = np.bincount(
+            (offsets * self._k + self.transition_sources).ravel(),
+            weights=rates.ravel(),
+            minlength=b * self._k,
+        ).reshape(b, self._k)
         data[:, diag_pos] = -exit_rates
         return data
 
@@ -415,5 +496,6 @@ class CompiledGenerator:
     def __repr__(self) -> str:
         return (
             f"CompiledGenerator(K={self._k}, constant={self.num_constant}, "
-            f"dynamic={self.num_dynamic}, compiled={self.num_compiled})"
+            f"dynamic={self.num_dynamic}, compiled={self.num_compiled}, "
+            f"sources={self.num_sources})"
         )

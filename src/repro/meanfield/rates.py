@@ -22,6 +22,25 @@ same code serve both the scalar and the batched path; the batched
 Monte-Carlo engines then evaluate the rate once per sweep instead of
 once per replica.  Expression rates get this for free via
 :meth:`~repro.meanfield.expressions.Expression.compile`.
+
+Rates are assumed pure, so transitions that share one underlying
+callable (the same object passed for every transition, as the
+population model's birth rate is) share one evaluation per generator
+assembly; :func:`normalize_rate` records the callable it wrapped as
+``rate_source`` so the compiled assembler can tell.
+
+When per-level rates are slices of one vectorised computation, a
+closure may declare that it belongs to a **rate family**: it sets
+``family = F`` and ``family_column = c`` next to ``vectorized = True``,
+where ``F(m)`` (or ``F(m, t)``) is itself vectorised and returns an
+array of shape ``(..., C)`` whose column ``c`` is this closure's rate.
+The closure should compute its value as ``F(m)[..., c]`` so the
+interpreted path and the compiled assembler (which calls ``F`` once per
+assembly for every member, see
+:class:`~repro.meanfield.compiled.CompiledGenerator`) agree bit for bit.
+:func:`~repro.models.load_balancing.load_balancing_model` computes all
+its arrival rates from one reversed cumulative sum this way, O(K) per
+assembly instead of O(K) per level.
 """
 
 from __future__ import annotations
@@ -76,6 +95,11 @@ def normalize_rate(spec: RateSpec) -> RateFunction:
 
             rate_m_only._time_independent = True
             rate_m_only.vectorized = bool(getattr(spec, "vectorized", False))
+            rate_m_only.rate_source = spec
+            family = getattr(spec, "family", None)
+            if family is not None:
+                rate_m_only.family = family
+                rate_m_only.family_column = spec.family_column
             return rate_m_only
         raise InvalidRateError(
             f"rate callable {spec!r} must accept (m) or (m, t)"

@@ -69,20 +69,27 @@ def load_balancing_model(
     p = params
     k_states = p.buffer + 1
 
+    # ``m[..., j]`` indexing and numpy ufuncs make the same body serve
+    # scalar (K,) and batched (B, K) evaluation.  The tails ``s_k`` of
+    # every level come from one reversed cumulative sum, so all B
+    # arrival rates cost O(K); the per-level closures declare this
+    # family (see repro.meanfield.rates), and the compiled generator
+    # calls it once per assembly instead of once per level — essential
+    # at deep buffers.
+    def arrival_rates(m: np.ndarray):
+        tails_d = np.cumsum(m[..., ::-1], axis=-1)[..., ::-1] ** p.d
+        mass = np.maximum(m[..., :-1], _OCC_FLOOR)
+        return p.lam * (tails_d[..., :-1] - tails_d[..., 1:]) / mass
+
+    arrival_rates.vectorized = True
+
     def arrival_rate_for(level: int):
-        # ``m[..., level:]`` indexing and numpy ufuncs make the same
-        # body serve scalar (K,) and batched (B, K) evaluation; the
-        # ``vectorized`` declaration lets the compiled generator and
-        # the batched Monte-Carlo engines call it once per sweep (see
-        # repro.meanfield.rates) — essential at deep buffers, where a
-        # per-replica Python call per level would dominate.
         def rate(m: np.ndarray):
-            tail_k = np.sum(m[..., level:], axis=-1)
-            tail_k1 = np.sum(m[..., level + 1 :], axis=-1)
-            mass = np.maximum(m[..., level], _OCC_FLOOR)
-            return p.lam * (tail_k**p.d - tail_k1**p.d) / mass
+            return arrival_rates(m)[..., level]
 
         rate.vectorized = True
+        rate.family = arrival_rates
+        rate.family_column = level
         return rate
 
     builder = LocalModelBuilder()

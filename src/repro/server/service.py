@@ -377,7 +377,11 @@ class _CacheEntry:
 
     def trim_contexts(self, bound: int) -> None:
         while len(self.contexts) > bound:
-            self.contexts.popitem(last=False)
+            _, ctx = self.contexts.popitem(last=False)
+            # Curves cached by the context's own checker refer back to
+            # it; clearing breaks that cycle, so reference counting
+            # frees the evicted context at once.
+            ctx.clear_caches()
 
     def trim_responses(self, bound: int) -> None:
         while len(self.responses) > bound:
@@ -418,6 +422,9 @@ class CheckingService:
         self._cond = threading.Condition(self._lock)
         self._entries: "OrderedDict[tuple, _CacheEntry]" = OrderedDict()
         self._inflight: Dict[tuple, _InFlight] = {}
+        #: ``MODEL_REGISTRY`` name -> ``(model, model_hash)``, filled on
+        #: first use by :meth:`_parse_model`.
+        self._builtin_models: Dict[str, tuple] = {}
         self._slots = threading.BoundedSemaphore(self.config.max_concurrent)
         self._closed = False
         self._state = "starting"
@@ -892,8 +899,16 @@ class CheckingService:
                 f"unknown model {name!r}; choose from "
                 f"{sorted(MODEL_REGISTRY)} or pass 'model_document'"
             )
-        model = MODEL_REGISTRY[name]()
-        return model, model_hash(model, fallback=f"builtin:{name}")
+        # Built-in factories are deterministic and models immutable, so
+        # each name is built (and hashed) once per service; a K = 1001
+        # build would otherwise dominate every warm re-ask.
+        built = self._builtin_models.get(name)
+        if built is None:
+            model = MODEL_REGISTRY[name]()
+            built = self._builtin_models.setdefault(
+                name, (model, model_hash(model, fallback=f"builtin:{name}"))
+            )
+        return built
 
     # -- the serve path ------------------------------------------------
 

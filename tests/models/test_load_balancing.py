@@ -107,6 +107,28 @@ class TestVectorizedRates:
             for row, value in zip(batch, batched):
                 assert rate(row, 0.0) == pytest.approx(value)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_family_matches_per_level_tail_formula(self, d):
+        """The one-cumsum arrival family equals the direct per-level
+        formula ``λ (s_k^d − s_{k+1}^d) / m_k`` with separately summed
+        tails, to round-off."""
+        p = LoadBalancingParameters(lam=0.9, d=d, buffer=60)
+        local = load_balancing_model(p).local
+        rng = np.random.default_rng(3)
+        for m in rng.dirichlet(np.ones(local.num_states), size=4):
+            for transition in local.transitions:
+                if transition.constant:
+                    continue
+                k = transition.source
+                expected = (
+                    p.lam
+                    * (np.sum(m[k:]) ** d - np.sum(m[k + 1 :]) ** d)
+                    / max(m[k], 1e-12)
+                )
+                assert transition.rate(m, 0.0) == pytest.approx(
+                    expected, rel=1e-10, abs=1e-14
+                )
+
     def test_generator_rows_sum_to_zero_on_batch_path(self):
         model = load_balancing_model(LoadBalancingParameters(buffer=9))
         rng = np.random.default_rng(11)

@@ -6,13 +6,18 @@ tests exercise the coalescing and admission-control paths for real by
 slowing the underlying computation down with a monkeypatched checker.
 """
 
+import gc
 import threading
 import time
+import weakref
 
 import pytest
 
 from repro.checking.global_ import MFModelChecker
 from repro.exceptions import EXIT_BUDGET_EXCEEDED
+from repro.io import model_to_dict
+from repro.models import MODEL_REGISTRY
+from repro.models.virus import virus_model_declarative
 from repro.server.service import (
     HTTP_STATUS_REJECTED,
     CheckingService,
@@ -20,6 +25,10 @@ from repro.server.service import (
 )
 
 FORMULA = "EP[<0.3](not_infected U[0,1] infected)"
+NESTED = (
+    "E[>0.1](P[>=0.0003]("
+    "P[>=0.02](not_infected U[0,1] infected) U[0,4] active))"
+)
 
 
 def check_request(**overrides):
@@ -145,6 +154,88 @@ class TestColdWarm:
         )
         assert s == 200
         assert r["cache"]["hit"] is True
+
+
+class TestBuiltinModelMemo:
+    """Built-in models are built once per service, before the probe."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        counts = []
+        factory = MODEL_REGISTRY["virus1"]
+
+        def counting_factory():
+            counts.append(1)
+            return factory()
+
+        monkeypatch.setitem(MODEL_REGISTRY, "virus1", counting_factory)
+        return counts
+
+    def test_repeated_requests_build_once(self, service, builds):
+        _, cold = service.handle(check_request())
+        _, warm = service.handle(check_request())
+        _, other = service.handle(check_request(occupancy=[0.7, 0.2, 0.1]))
+        assert len(builds) == 1
+        assert warm["cache"]["hit"] is True
+        assert cold["model_hash"] == warm["model_hash"] == other["model_hash"]
+        assert service.stats.service_cache_misses == 1
+
+    def test_model_documents_are_unaffected(self, service, builds):
+        document = model_to_dict(virus_model_declarative())
+        request = check_request(model_document=document)
+        del request["model"]
+        for _ in range(2):
+            status, body = service.handle(request)
+            assert status == 200
+        assert builds == []
+        _, named = service.handle(check_request())
+        assert len(builds) == 1
+        # A document is parsed per request; it never shares the memo.
+        assert body["model_hash"] != named["model_hash"]
+
+    def test_unknown_name_still_errors(self, service):
+        answers = [
+            service.handle(check_request(model="no-such-model"))
+            for _ in range(2)
+        ]
+        for status, body in answers:
+            assert status == 400
+            assert body["exit_code"] == 2
+            assert "unknown model 'no-such-model'" in body["message"]
+        assert answers[0] == answers[1]
+
+
+class TestContextRelease:
+    def test_evicted_context_is_freed_without_gc(self):
+        """A context dropped by the per-entry LRU is kept alive by no
+        reference cycle — not its own local checker, not the curves
+        that checker caches, not the root finder's closures — so
+        reference counting frees it at once, with no full collection."""
+        svc = CheckingService(ServerConfig(max_contexts_per_entry=1))
+        refs = []
+        gc.disable()
+        try:
+            for a in (0.8, 0.7, 0.75):
+                occupancy = [a, 0.6 * (1 - a), 0.4 * (1 - a)]
+                for extra in (
+                    {},
+                    {"formula": "ES[<0.5](infected)"},
+                    {"command": "csat", "theta": 20.0},
+                    {"formula": NESTED},
+                ):
+                    status, _ = svc.handle(
+                        check_request(occupancy=occupancy, **extra)
+                    )
+                    assert status == 200
+                (entry,) = svc._entries.values()
+                (ctx,) = entry.contexts.values()
+                assert ctx.local_checker().ctx is ctx
+                refs.append(weakref.ref(ctx))
+                del ctx, entry
+            assert [r() is None for r in refs] == [True, True, False]
+        finally:
+            gc.enable()
+            svc.close()
 
 
 class TestBudgets:
